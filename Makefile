@@ -33,7 +33,7 @@ race:
 	$(GO) test -race ./internal/core/ ./internal/trace/ ./internal/volume/ \
 		./internal/chaos/ ./internal/chaos/matrix/ ./internal/storage/ \
 		./internal/netsim/ ./internal/metrics/ ./internal/quorum/ \
-		./internal/engine/ ./internal/control/
+		./internal/engine/ ./internal/control/ ./internal/objstore/
 
 # Short gray-failure drill: fails unless zero data errors, >=99% write
 # success, and the retry / hedge / auto-repair machinery all engaged.

@@ -367,7 +367,9 @@ func (c *Cluster) BackupNow() int {
 // RestoreAt performs a point-in-time restore: it provisions a brand-new
 // cluster (own network, own storage fleet) from the newest backups at or
 // before asOf, runs volume recovery to a consistent durable point, and
-// returns it. The source cluster is untouched.
+// returns it. The source cluster is untouched: the new cluster reads the
+// source's backups only while it restores, and stages its own backups to
+// an object store of its own.
 func (c *Cluster) RestoreAt(name string, asOf time.Time) (*Cluster, error) {
 	if c.store == nil {
 		return nil, errors.New("aurora: cluster has no backup store")
@@ -411,7 +413,7 @@ func (c *Cluster) RestoreAt(name string, asOf time.Time) (*Cluster, error) {
 		fleet.Start()
 	}
 	return &Cluster{
-		opts: opts, net: net, fleet: fleet, store: c.store, db: db,
+		opts: opts, net: net, fleet: fleet, store: fleet.Store(), db: db,
 		proxy: zdp.NewProxy(db),
 	}, nil
 }
@@ -515,7 +517,11 @@ type Stats struct {
 	NetworkMessages uint64
 	NetworkBytes    uint64
 	ReplicaCount    int
-	BackupObjects   int
+	// BackupObjects counts the distinct keys in the backup store: one
+	// manifest key per segment plus one key per staged page image (and the
+	// geometry manifest once the volume has one). It grows with the pages
+	// a volume has materialized, not with the number of backup rounds.
+	BackupObjects int
 
 	// Commit-pipeline gauges: framing critical sections, group sizes, and
 	// the commit latency distribution (lock-free histograms on the hot path).

@@ -393,6 +393,45 @@ func TestClusterPITR(t *testing.T) {
 	}
 }
 
+// A restored clone must stage its backups under a namespace of its own:
+// when it shared the source's backup keys, a later PITR of the source
+// loaded the clone's segments and returned the clone's writes.
+func TestClusterPITRCloneIsolated(t *testing.T) {
+	c := newCluster(t, Options{PGs: 2})
+	put := func(c *Cluster, v string) {
+		t.Helper()
+		if err := c.Put([]byte("doc"), []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+		if n := c.BackupNow(); n != 12 {
+			t.Fatalf("backed up %d segments, want 12", n)
+		}
+	}
+	put(c, "v1")
+	clone, err := c.RestoreAt("clone", time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clone.Close()
+	put(c, "source-v2")
+	put(clone, "restored-v2")
+
+	for _, tc := range []struct {
+		from *Cluster
+		want string
+	}{{c, "source-v2"}, {clone, "restored-v2"}} {
+		r, err := tc.from.RestoreAt("again", time.Now())
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, ok, err := r.Get([]byte("doc"))
+		r.Close()
+		if err != nil || !ok || string(v) != tc.want {
+			t.Fatalf("PITR of %s: doc = %q %v %v, want %q", tc.from.opts.Name, v, ok, err, tc.want)
+		}
+	}
+}
+
 func TestClusterAutoTune(t *testing.T) {
 	// Knobs surface with static defaults even with AutoTune off.
 	c := newCluster(t, Options{})

@@ -432,7 +432,7 @@ func growFault(vol *volume.Client) chaos.Fault {
 	}
 }
 
-// backupFault snapshots every segment to the object store mid-run,
+// backupFault backs every segment up to the object store mid-run,
 // bracketing the sweep with ledger marks. Ticks run between workload
 // rounds (no commits in flight), so the marks are clean cuts; the restore
 // leg after the scenario replays the volume as of the sweep and holds the

@@ -3,6 +3,15 @@
 // nodes periodically stage their log and new pages to S3 (Figure 4 step 6),
 // and the binlog of the mirrored-MySQL baseline is archived there too
 // (Figure 2). Objects are immutable and versioned.
+//
+// Each storage segment keeps a manifest key (vol<V>/backup/pg<P>/seg<R>)
+// and one key per page below it (.../page<N>) whose versions are the
+// page's staged base images. A node stages an image only when it changed
+// since the last round; every round writes a manifest version naming the
+// image versions it was written against. Restore takes the newest
+// manifest at or before the cutoff (GetAsOf) and fetches each image by
+// exact version (GetVersion), so restore points never depend on when
+// later images were written.
 package objstore
 
 import (

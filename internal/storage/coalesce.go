@@ -69,6 +69,7 @@ func (n *Node) CoalesceOnce() int {
 	// Phase 2: install bases and GC the complete prefix atomically.
 	for _, w := range work {
 		w.ps.base = w.newBase
+		w.ps.staged = 0
 		w.ps.chain = append([]*core.Record(nil), w.ps.chain[w.cut:]...)
 	}
 	gced := uint64(0)

@@ -18,14 +18,10 @@ import (
 // GeometryManifestKey is the object-store key the fleet publishes volume
 // vol's geometry under. Point-in-time restore reads the manifest as of the
 // restore point so a grown volume routes pages the way it did then. Keys are
-// namespaced per tenant so two volumes sharing one store can never clobber
-// each other's manifest lineage; the legacy volume 0 keeps its historical
-// key so existing stores remain readable.
+// namespaced per volume so two volumes sharing one store can never clobber
+// each other's manifest lineage.
 func GeometryManifestKey(vol core.VolumeID) string {
-	if vol != 0 {
-		return fmt.Sprintf("vol%d/manifest/geometry", uint32(vol))
-	}
-	return "manifest/geometry"
+	return fmt.Sprintf("vol%d/manifest/geometry", uint32(vol))
 }
 
 // FleetConfig describes the storage fleet backing one volume.
@@ -144,10 +140,9 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	f.geom.Store(cfg.Geometry)
 	f.history = []geomVersion{{geom: cfg.Geometry, since: core.ZeroLSN}}
 	// The manifest is only persisted when the geometry changes (Grow,
-	// stripe cutovers): a restored fleet shares the source's object store,
-	// and writing at provision time would pollute the source's manifest
-	// lineage. A never-grown volume has no manifest; restore falls back to
-	// the caller-supplied geometry, which is exactly the initial one.
+	// stripe cutovers) and by RestoreFleet. A never-grown volume has no
+	// manifest; restore falls back to the caller-supplied geometry, which
+	// is exactly the initial one.
 	f.broadcastGeometry(cfg.Geometry)
 	return f, nil
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"aurora/internal/core"
+	"aurora/internal/objstore"
 	"aurora/internal/storage"
 )
 
@@ -27,7 +28,7 @@ type RestoreReport struct {
 // RestoreFleet provisions a brand-new fleet whose state is the newest
 // continuous backup at or before asOf — point-in-time restore (§1, §5:
 // "backing up and restoring data from and to those volumes"). Storage
-// nodes stage snapshots to the object store continuously and
+// nodes stage backups to the object store continuously and
 // independently, so the restored segments are mutually inconsistent by up
 // to one backup interval; the standard volume recovery protocol then
 // brings the restored volume to a consistent durable point exactly as it
@@ -37,20 +38,27 @@ type RestoreReport struct {
 // The source fleet is untouched: restore always creates a new volume, as
 // the managed service does.
 //
-// cfg.Vol selects which tenant's namespaced backups and geometry manifest
-// are read from the shared store (zero = the legacy unprefixed keys), so
-// restoring one tenant can never pick up another tenant's snapshots.
+// cfg.Store is the source: restore reads volume cfg.Vol's backup manifests
+// and geometry manifest there, so restoring one tenant can never pick up
+// another tenant's backups. Each manifest is read as of asOf and names the
+// exact object version of every staged page image, so the images it loads
+// are the ones it was written against however much the source staged
+// since. The restored fleet reads the source only here: it stages its own
+// backups, starting with its geometry, to a new object store of its own
+// (Fleet.Store), so a clone can never overwrite the source's lineage.
 func RestoreFleet(cfg FleetConfig, asOf time.Time) (*Fleet, *RestoreReport, error) {
-	if cfg.Store == nil {
+	src := cfg.Store
+	if src == nil {
 		return nil, nil, errors.New("volume: restore requires an object store")
 	}
+	cfg.Store = objstore.New()
 	start := time.Now()
 	// A grown volume routes pages differently than the day it was created:
 	// recover the geometry that was in force at the restore point from the
 	// manifest, so the restored fleet provisions the right number of PGs and
 	// routes reads the way the backups were written. A volume from before
 	// geometry manifests falls back to the caller-supplied geometry.
-	if enc, _, err := cfg.Store.GetAsOf(GeometryManifestKey(cfg.Vol), asOf); err == nil {
+	if enc, _, err := src.GetAsOf(GeometryManifestKey(cfg.Vol), asOf); err == nil {
 		g, err := core.DecodeGeometry(enc)
 		if err != nil {
 			return nil, nil, fmt.Errorf("volume: geometry manifest: %w", err)
@@ -61,17 +69,18 @@ func RestoreFleet(cfg FleetConfig, asOf time.Time) (*Fleet, *RestoreReport, erro
 	if err != nil {
 		return nil, nil, err
 	}
+	f.persistGeometry(f.Geometry())
 	rep := &RestoreReport{AsOf: asOf, GeometryEpoch: f.Geometry().Epoch(), PGs: f.PGs()}
 	for g := 0; g < f.PGs(); g++ {
 		pg := core.PGID(g)
 		loaded := 0
 		for r, n := range f.Replicas(pg) {
 			key := n.BackupKey()
-			snap, _, err := cfg.Store.GetAsOf(key, asOf)
+			manifest, _, err := src.GetAsOf(key, asOf)
 			if err != nil {
 				continue // this replica had no backup yet; repair below
 			}
-			if err := n.LoadSnapshot(snap); err != nil {
+			if err := n.LoadManifest(src, key, manifest); err != nil {
 				return nil, nil, fmt.Errorf("pg %d replica %d: %w", g, r, err)
 			}
 			loaded++

@@ -288,3 +288,70 @@ func TestRestoreChecksummedHistory(t *testing.T) {
 		c2.Close()
 	}
 }
+
+// TestRestoreEarlierCutoffAfterCoalesce restores to a cutoff whose base
+// images were later rematerialized and restaged under the same page keys:
+// the older manifest must still load the older image versions.
+func TestRestoreEarlierCutoffAfterCoalesce(t *testing.T) {
+	f, c, store, setClock := pitrStack(t)
+	const pages = 10
+	round := func(tag string, stamp int64) {
+		t.Helper()
+		for i := 0; i < pages; i++ {
+			writePage(t, c, core.PageID(i), fmt.Sprintf("%s-%02d", tag, i))
+		}
+		// A later write on every PG piggybacks a PGMRPL that covers the
+		// round, so coalescing folds it into the base images.
+		for g, id := 0, core.PageID(pages); g < f.PGs(); id++ {
+			if int(c.PGOf(id)) == g {
+				writePage(t, c, id, "fence")
+				g++
+			}
+		}
+		// The write returns on a write quorum; wait for the fence to land
+		// on the other replicas too.
+		deadline := time.Now().Add(2 * time.Second)
+		for i := 0; i < pages; i++ {
+			for _, n := range f.Replicas(c.PGOf(core.PageID(i))) {
+				for n.CoalesceOnce(); n.ChainLength(core.PageID(i)) != 0; n.CoalesceOnce() {
+					if time.Now().After(deadline) {
+						t.Fatalf("%s: page %d not folded into its base on %s", tag, i, n.NodeID())
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+		}
+		setClock(time.Unix(stamp, 0))
+		backupAll(t, f)
+	}
+	round("v1", 2000)
+	round("v2", 3000)
+
+	for _, tc := range []struct {
+		asOf int64
+		want string
+	}{{2500, "v1"}, {3500, "v2"}} {
+		restored, _, err := RestoreFleet(FleetConfig{
+			Name: "pitr", Geometry: core.UniformGeometry(2), Net: netsim.New(netsim.FastLocal()),
+			Disk: disk.FastLocal(), Store: store,
+		}, time.Unix(tc.asOf, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c2, _, err := Recover(context.Background(), restored, ClientConfig{WriterNode: "cw", WriterAZ: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < pages; i++ {
+			p, _, err := c2.ReadPage(context.Background(), core.PageID(i))
+			if err != nil {
+				t.Fatalf("as of %d, page %d: %v", tc.asOf, i, err)
+			}
+			want := fmt.Sprintf("%s-%02d", tc.want, i)
+			if got := string(p.Payload()[:len(want)]); got != want {
+				t.Fatalf("as of %d, page %d: %q, want %q", tc.asOf, i, got, want)
+			}
+		}
+		c2.Close()
+	}
+}

@@ -200,11 +200,13 @@ func Run(db DB, mix Mix, opts Options) Result {
 	}
 	var txns, errs, retries atomic.Uint64
 	stop := make(chan struct{})
+	// Take start before arming the timer, so Elapsed never comes out
+	// shorter than Duration.
+	start := time.Now()
 	if opts.Duration > 0 {
 		timer := time.AfterFunc(opts.Duration, func() { close(stop) })
 		defer timer.Stop()
 	}
-	start := time.Now()
 	var wg sync.WaitGroup
 	for c := 0; c < opts.Clients; c++ {
 		wg.Add(1)
